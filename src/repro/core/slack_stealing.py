@@ -84,14 +84,14 @@ class CapacityProfile:
 
     def capacity(self, t: int) -> int:
         """F(t); past the horizon the last full pattern is tiled."""
-        t = max(t, 0)
-        if t <= self.horizon:
-            return self.table[t]
+        table = self.table
+        if t < len(table):
+            return table[t] if t > 0 else table[0]
         if not self.pattern_length:
-            return self.table[self.horizon]
+            return table[-1]
         patterns, offset = divmod(t - self.pattern_start,
                                   self.pattern_length)
-        return (self.table[self.pattern_start + offset]
+        return (table[self.pattern_start + offset]
                 + patterns * self.pattern_gain)
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.slack_stealing import CapacityProfile, SlackStealer
@@ -131,6 +132,10 @@ class _Aggregates:
                 table[key] = remaining
             else:
                 del table[key]
+
+
+_ARRIVAL = attrgetter("arrival")
+_DEADLINE = attrgetter("deadline")
 
 
 class SlackLedger:
@@ -238,12 +243,12 @@ class SlackLedger:
         """
         if now > self._now:
             self._now = now
-        expired: List[str] = []
-        while self._order and self._order[0][0] <= self._now:
-            deadline, arrival, name = self._order.pop(0)
-            task = self._live.pop(name)
-            self._agg.remove(task)
-            expired.append(name)
+        # Every (deadline, ...) entry with deadline <= now sorts first.
+        cut = bisect.bisect_left(self._order, (self._now + 1,))
+        expired = [name for __, __, name in self._order[:cut]]
+        del self._order[:cut]
+        for name in expired:
+            self._agg.remove(self._live.pop(name))
         if expired:
             self._expired_total += len(expired)
             if self._obs.enabled:
@@ -294,8 +299,8 @@ class SlackLedger:
                                 window - self._window_demand(
                                     effective, absolute))
 
-        margin = self._demand_criterion_margin(effective, absolute,
-                                               execution)
+        margin, window_demand = self._demand_criterion(effective, absolute,
+                                                       execution)
         if margin < 0:
             return self._reject("committed demand exceeds window slack",
                                 effective, absolute, margin)
@@ -311,7 +316,7 @@ class SlackLedger:
         return AdmitOutcome(
             admitted=True, reason="window demand within guaranteed slack",
             arrival=effective, deadline=absolute,
-            window_slack=window - self._window_demand(effective, absolute))
+            window_slack=window - window_demand - execution)
 
     def _reject(self, reason: str, arrival: int, deadline: int,
                 window_slack: int = 0) -> AdmitOutcome:
@@ -326,39 +331,80 @@ class SlackLedger:
         return sum(t.execution for t in self._live.values()
                    if t.arrival >= start and t.deadline <= end)
 
-    def _demand_criterion_margin(self, arrival: int, deadline: int,
-                                 execution: int) -> int:
-        """Min slack margin over every pair the candidate participates in.
+    def _demand_criterion(self, arrival: int, deadline: int,
+                          execution: int) -> Tuple[int, int]:
+        """Admission margin and window demand in one sweep of the live set.
 
         Only pairs ``(a, d)`` with ``a <= arrival`` and ``d >= deadline``
         gain the candidate's demand; all other pairs held before and are
-        untouched.  Returns ``min (F(d) - F(a) - demand'(a, d))`` over
-        those pairs, where ``demand'`` includes the candidate -- the
-        admission is safe iff the margin is >= 0.
+        untouched.  The margin is ``min (F(d) - F(a) - execution -
+        demand(a, d))`` over those pairs -- the admission is safe iff it
+        is >= 0 -- and the window demand is ``demand(arrival,
+        deadline)`` without the candidate.
+
+        The candidate's starts ``a`` are ``arrival`` and the earlier live
+        arrivals, its ends ``d`` are ``deadline`` and the later live
+        deadlines.  The sweep walks the longer axis once, covering live
+        tasks as it goes, and keeps one running slack per point of the
+        shorter axis:
+
+        - more starts: ``a`` descends; a task with ``arrival >= a``
+          counts towards every end ``d >= task.deadline``;
+        - otherwise ``d`` ascends; a task with ``deadline <= d`` counts
+          towards every start ``a <= task.arrival``.
+
+        That is ``S + E`` capacity lookups and ``O((S + E + L) *
+        min(S, E))`` steps for ``L`` live tasks, instead of a demand
+        re-scan per ``(a, d)`` pair.
+
+        Returns:
+            ``(margin, window_demand)``.
         """
-        starts = sorted({t.arrival for t in self._live.values()
-                         if t.arrival <= arrival} | {arrival})
-        ends = sorted({t.deadline for t in self._live.values()
-                       if t.deadline >= deadline} | {deadline})
-        # Tasks sorted by deadline once; each start then accumulates
-        # demand in one sweep over the relevant ends.
-        by_deadline = sorted(self._live.values(),
-                             key=lambda t: (t.deadline, t.arrival, t.name))
-        margin: Optional[int] = None
-        for a in starts:
-            cumulative = execution  # the candidate sits in every pair
-            index = 0
-            for d in ends:
-                while (index < len(by_deadline)
-                       and by_deadline[index].deadline <= d):
-                    task = by_deadline[index]
-                    if task.arrival >= a:
-                        cumulative += task.execution
+        capacity = self._profile.capacity
+        live = self._live.values()
+        starts = {t.arrival for t in live if t.arrival < arrival}
+        starts.add(arrival)
+        ends = {t.deadline for t in live if t.deadline > deadline}
+        ends.add(deadline)
+        # Demand every point of the shorter axis shares: tasks inside
+        # the candidate's own bound on that axis.  Only the others need
+        # a per-point update.
+        shared = window_demand = index = 0
+        margins: List[int] = []
+        if len(starts) > len(ends):
+            points = sorted(ends)
+            slack = [capacity(d) - execution for d in points]
+            tasks = sorted(live, key=_ARRIVAL, reverse=True)
+            for a in sorted(starts, reverse=True):
+                while index < len(tasks) and tasks[index].arrival >= a:
+                    task = tasks[index]
                     index += 1
-                slack = self.capacity(d) - self.capacity(a) - cumulative
-                if margin is None or slack < margin:
-                    margin = slack
-        return margin if margin is not None else 0
+                    if task.deadline <= deadline:
+                        shared += task.execution
+                        continue
+                    for j in range(bisect.bisect_left(points, task.deadline),
+                                   len(points)):
+                        slack[j] -= task.execution
+                if not margins:  # a == arrival: the candidate's window
+                    window_demand = shared
+                margins.append(min(slack) - shared - capacity(a))
+        else:
+            points = sorted(starts)
+            slack = [-capacity(a) - execution for a in points]
+            tasks = sorted(live, key=_DEADLINE)
+            for d in sorted(ends):
+                while index < len(tasks) and tasks[index].deadline <= d:
+                    task = tasks[index]
+                    index += 1
+                    if task.arrival >= arrival:
+                        shared += task.execution
+                        continue
+                    for i in range(bisect.bisect_right(points, task.arrival)):
+                        slack[i] -= task.execution
+                if not margins:  # d == deadline: the candidate's window
+                    window_demand = shared
+                margins.append(capacity(d) + min(slack) - shared)
+        return min(margins), window_demand
 
     # -- releases ------------------------------------------------------
 
@@ -371,7 +417,11 @@ class SlackLedger:
         task = self._live.pop(name, None)
         if task is None:
             return False
-        self._order.remove((task.deadline, task.arrival, name))
+        key = (task.deadline, task.arrival, name)
+        index = bisect.bisect_left(self._order, key)
+        if self._order[index:index + 1] != [key]:
+            raise ValueError(f"{name!r} missing from the deadline order")
+        del self._order[index]
         self._agg.remove(task)
         self._released_total += 1
         if self._obs.enabled:
