@@ -5,8 +5,8 @@ in the engine's per-cycle cost are visible (the figure benchmarks run
 thousands of cycles; their wall-clock tracks these numbers).
 
 ``REPRO_ENGINE_MODE`` selects the cluster engine for the cycle
-benchmarks (``stepper`` default / ``interpreter`` oracle), letting the
-CI ``engine-bench`` job compare the two on identical workloads.
+benchmarks (``vectorized`` default / ``interpreter`` oracle), letting
+the CI ``engine-bench`` job compare the two on identical workloads.
 """
 
 import os
@@ -23,13 +23,13 @@ from repro.experiments.figures import (
 from repro.experiments.runner import run_experiment
 from repro.flexray.params import paper_dynamic_preset
 from repro.obs import NULL_OBS, Observability
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import DEFAULT_ENGINE_MODE, SimulationEngine
 from repro.sim.events import EventKind
 from repro.sim.rng import RngStream
 
 _DISPATCH_EVENTS = 20_000
 
-ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", "stepper")
+ENGINE_MODE = os.environ.get("REPRO_ENGINE_MODE", DEFAULT_ENGINE_MODE.value)
 
 
 def _dispatch_events(obs):

@@ -370,7 +370,7 @@ class CoEfficientPolicy(QueueingPolicyBase):
         ``None``) and, when cooperation is on, the soft pool
         (``_dynamic_backlog`` counts it incrementally).  With both dry
         the query provably answers ``None`` without mutating state, so
-        the stepper may skip it.
+        the compiled-round engine may skip it.
         """
         return (not self._retx_heap
                 and (not self._steal_for_dynamic

@@ -447,7 +447,7 @@ class QueueingPolicyBase(SchedulerPolicy):
             self._chunk_status[key] = (_PENDING, pending.deadline_mt)
 
     # ------------------------------------------------------------------
-    # Stepper fast-path proofs (see SchedulerPolicy for the contracts)
+    # Compiled-round engine proofs (see SchedulerPolicy for the contracts)
     # ------------------------------------------------------------------
 
     def note_time(self, now_mt: int) -> None:

@@ -46,7 +46,11 @@ from repro.service.protocol import (
     encode_response,
     parse_request,
 )
-from repro.service.server import CHANNEL_STATUS_FIELDS, STATUS_FIELDS
+from repro.service.server import (
+    CHANNEL_STATUS_FIELDS,
+    STATUS_FIELDS,
+    close_connections,
+)
 
 __all__ = ["ShardRouter", "aggregate_stats", "serve_sharded"]
 
@@ -205,6 +209,7 @@ class ShardRouter:
         self._active_chunks = 0
         self._chunks_done = asyncio.Event()
         self._chunks_done.set()
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- counters ------------------------------------------------------
 
@@ -252,21 +257,24 @@ class ShardRouter:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._health_task is not None:
             self._health_task.cancel()
             try:
                 await self._health_task
             except asyncio.CancelledError:
                 pass
-        # server.wait_closed() does not wait for active connection
-        # handlers on Python < 3.12; in-flight chunks must be answered
-        # before the shard links go away.  New requests already get
-        # "draining" replies, so this converges.
+        # In-flight chunks must be answered before the client
+        # connections close and the shard links go away.  New requests
+        # already get "draining" replies, so this converges.  Closing
+        # the connections then lets every handler return on its own,
+        # which server.wait_closed() waits for on Python >= 3.12.
         try:
             await asyncio.wait_for(self._chunks_done.wait(), self._timeout)
         except asyncio.TimeoutError:  # pragma: no cover - stuck shard
             pass
+        await close_connections(self._connections, self._timeout)
+        if self._server is not None:
+            await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         for link in self.links:
             if link.client is not None:
@@ -383,6 +391,8 @@ class ShardRouter:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self._count("router.connections")
+        task = asyncio.current_task()
+        self._connections[task] = writer
         lines: deque = deque()
         arrived = asyncio.Event()
         closed = False
@@ -438,6 +448,7 @@ class ShardRouter:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            del self._connections[task]
 
     async def _dispatch_chunk(self, chunk: List[Optional[bytes]]
                               ) -> List[bytes]:

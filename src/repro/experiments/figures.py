@@ -33,6 +33,7 @@ from repro.protocol.backend import get_backend
 from repro.protocol.geometry import SegmentGeometry
 from repro.obs import NULL_OBS
 from repro.protocol.signal import SignalSet
+from repro.sim.engine import DEFAULT_ENGINE_MODE
 from repro.workloads.acc import acc_signals
 from repro.workloads.bbw import bbw_signals
 from repro.workloads.sae import sae_aperiodic_signals
@@ -183,7 +184,7 @@ def fig1_2_running_time(
     static_slot_options: Sequence[int] = (80, 120),
     seed: int = 42,
     obs=NULL_OBS,
-    engine_mode: str = "stepper",
+    engine_mode: str = DEFAULT_ENGINE_MODE.value,
 ) -> List[Dict[str, float]]:
     """Figure 1 (BER = 1e-7) / Figure 2 (BER = 1e-9): running time.
 
@@ -200,9 +201,9 @@ def fig1_2_running_time(
         static_slot_options: gNumberOfStaticSlots settings (80 / 120,
             which also shift the aperiodic frame IDs as in the paper).
         seed: Experiment seed.
-        engine_mode: Simulation engine mode (``"stepper"``,
-            ``"interpreter"`` or ``"vectorized"``); the figures are
-            identical in every mode, only wall-clock time differs
+        engine_mode: Simulation engine mode
+            (:class:`~repro.sim.engine.EngineMode` value); the figures
+            are identical in every mode, only wall-clock time differs
             (``BENCH_engine.json``).
     """
     rho = _goal_for(ber)

@@ -31,10 +31,9 @@ from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.static_segment import StaticSegmentEngine
 from repro.protocol.topology import BusTopology, Topology
 from repro.obs import NULL_OBS, ObsLike
-from repro.sim.engine import EngineMode
+from repro.sim.engine import DEFAULT_ENGINE_MODE, EngineMode
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.trace import TraceRecorder
-from repro.timeline.stepper import TimelineStepper
 from repro.timeline.vectorized import VectorizedStepper
 
 __all__ = ["Cluster"]
@@ -61,14 +60,15 @@ class Cluster:
         obs: Observability context; when enabled, the cluster records
             ``engine.*`` counters and per-segment profiler sections.
         mode: :class:`~repro.sim.engine.EngineMode` (or its string
-            value).  ``STEPPER`` (the default) advances over the
-            policy's compiled round when it offers one, falling back to
-            per-slot events for aperiodic work; ``VECTORIZED`` further
-            evaluates whole segments as phase-split batches (batched
-            fault draws, batched trace appends) whenever the policy's
-            decisions are provably outcome-free; ``INTERPRETER`` is the
-            pure event-list oracle.  All modes produce byte-identical
-            traces (``tests/sim/test_trace_equivalence.py``,
+            value).  ``VECTORIZED`` (the default) advances over the
+            policy's compiled round when it offers one, evaluating
+            whole segments as phase-split batches (batched fault draws,
+            batched trace appends) whenever the policy's decisions are
+            provably outcome-free, and walking the owned static steps
+            with per-slot fallback under a feedback policy;
+            ``INTERPRETER`` is the pure event-list oracle.  Both modes
+            produce byte-identical traces
+            (``tests/sim/test_trace_equivalence.py``,
             ``tests/sim/test_engine_fuzz.py``).
     """
 
@@ -81,7 +81,7 @@ class Cluster:
         topology: Optional[Topology] = None,
         node_count: Optional[int] = None,
         obs: ObsLike = NULL_OBS,
-        mode: Union[str, EngineMode] = EngineMode.STEPPER,
+        mode: Union[str, EngineMode] = DEFAULT_ENGINE_MODE,
     ) -> None:
         self.params = params
         self.policy = policy
@@ -109,7 +109,7 @@ class Cluster:
             self._corrupts, self.trace,
         )
         self._mode = EngineMode.parse(mode)
-        self._stepper: Optional[TimelineStepper] = None
+        self._vectorized: Optional[VectorizedStepper] = None
         self._cycle = 0
         self._bound = False
 
@@ -137,49 +137,35 @@ class Cluster:
         return self._mode
 
     @property
-    def stepper_active(self) -> bool:
-        """Whether the compiled-timeline fast path is engaged."""
-        return self._stepper is not None
-
-    @property
     def vectorized_active(self) -> bool:
-        """Whether the phase-split batch engine is engaged."""
-        return isinstance(self._stepper, VectorizedStepper)
+        """Whether the compiled-round engine is engaged.
+
+        ``False`` under the interpreter, and under the default mode for
+        a policy that offers no compiled round.
+        """
+        return self._vectorized is not None
 
     def _ensure_bound(self) -> None:
         if not self._bound:
             self.policy.bind(self)
             for node in self.nodes:
                 node.start()
-            if self._mode in (EngineMode.STEPPER, EngineMode.VECTORIZED):
-                compiled = self.policy.compiled_round()
-                if compiled is not None:
-                    if self._mode is EngineMode.VECTORIZED:
-                        self._stepper = VectorizedStepper(
-                            compiled=compiled,
-                            params=self.params,
-                            layout=self.layout,
-                            channels=self.channels,
-                            policy=self.policy,
-                            static_engine=self._static_engine,
-                            dynamic_engine=self._dynamic_engine,
-                            next_release_mt=self._multiplexer.next_release_mt,
-                            corrupts=self._corrupts,
-                            trace=self.trace,
-                            obs=self._obs,
-                        )
-                    else:
-                        self._stepper = TimelineStepper(
-                            compiled=compiled,
-                            params=self.params,
-                            layout=self.layout,
-                            channels=self.channels,
-                            policy=self.policy,
-                            static_engine=self._static_engine,
-                            dynamic_engine=self._dynamic_engine,
-                            next_release_mt=self._multiplexer.next_release_mt,
-                            obs=self._obs,
-                        )
+            compiled = (self.policy.compiled_round()
+                        if self._mode is EngineMode.VECTORIZED else None)
+            if compiled is not None:
+                self._vectorized = VectorizedStepper(
+                    compiled=compiled,
+                    params=self.params,
+                    layout=self.layout,
+                    channels=self.channels,
+                    policy=self.policy,
+                    static_engine=self._static_engine,
+                    dynamic_engine=self._dynamic_engine,
+                    next_release_mt=self._multiplexer.next_release_mt,
+                    corrupts=self._corrupts,
+                    trace=self.trace,
+                    obs=self._obs,
+                )
             self._bound = True
 
     # ------------------------------------------------------------------
@@ -260,12 +246,12 @@ class Cluster:
         start_mt = self.layout.cycle_start(cycle)
         if self._observed:
             self._execute_one_cycle_observed(cycle, start_mt)
-        elif self._stepper is not None:
+        elif self._vectorized is not None:
             self._deliver_arrivals_until(start_mt)
             self.policy.on_cycle_start(cycle, start_mt)
-            self._stepper.run_static_segment(
+            self._vectorized.run_static_segment(
                 cycle, self._deliver_arrivals_until)
-            self._stepper.run_dynamic_segment(
+            self._vectorized.run_dynamic_segment(
                 cycle, self._deliver_arrivals_until)
         else:
             self._deliver_arrivals_until(start_mt)
@@ -284,12 +270,12 @@ class Cluster:
         with obs.section("cluster.arrivals"):
             self._deliver_arrivals_until(start_mt)
         self.policy.on_cycle_start(cycle, start_mt)
-        if self._stepper is not None:
+        if self._vectorized is not None:
             with obs.section("cluster.static_segment"):
-                static_fast = self._stepper.run_static_segment(
+                static_fast = self._vectorized.run_static_segment(
                     cycle, self._deliver_arrivals_until)
             with obs.section("cluster.dynamic_segment"):
-                dynamic_fast = self._stepper.run_dynamic_segment(
+                dynamic_fast = self._vectorized.run_dynamic_segment(
                     cycle, self._deliver_arrivals_until)
             if static_fast and dynamic_fast:
                 obs.inc("engine.fast_path_cycles")

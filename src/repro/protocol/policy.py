@@ -125,8 +125,8 @@ class SchedulerPolicy(abc.ABC):
     def compiled_round(self) -> Optional["CompiledRound"]:
         """The policy's compiled communication round, if it has one.
 
-        The cluster's :class:`~repro.timeline.stepper.TimelineStepper`
-        fast path is only engaged when this returns a round; the default
+        The cluster's :class:`~repro.timeline.vectorized.VectorizedStepper`
+        engine is only engaged when this returns a round; the default
         (``None``) keeps custom policies on the event interpreter.
         Must only be called after ``bind``.
         """
@@ -138,10 +138,11 @@ class SchedulerPolicy(abc.ABC):
         ``True`` promises that, in the policy's *current* state, querying
         any static (channel, slot) pair the compiled round marks idle
         would return ``None`` without side effects -- the licence the
-        stepper needs to skip the query.  The promise is checkpointed:
-        the stepper re-asks after every arrival delivery and every
-        transmission outcome, so the answer may freely flip to ``False``
-        the moment retransmission or slack-stealing work appears.
+        compiled-round engine needs to skip the query.  The promise is
+        checkpointed: the engine re-asks after every arrival delivery
+        and every transmission outcome, so the answer may freely flip to
+        ``False`` the moment retransmission or slack-stealing work
+        appears.
 
         The default (``False``) is always safe: it pins the policy to
         the exact event interpreter.
@@ -154,7 +155,8 @@ class SchedulerPolicy(abc.ABC):
         ``True`` promises that every ``dynamic_frame_for`` query of the
         upcoming dynamic segment would return ``None`` without side
         effects (empty dynamic backlog, no dynamic retransmissions), so
-        the stepper may skip the minislot-counting loop entirely.  Asked
+        the compiled-round engine may skip the minislot-counting loop
+        entirely.  Asked
         after the segment-start arrival delivery.  The default
         (``False``) always runs the interpreter loop.
         """
@@ -175,8 +177,8 @@ class SchedulerPolicy(abc.ABC):
         frame re-enters the queues mid-segment).
 
         The default (``False``) is always safe: it keeps the policy on
-        the stepper/interpreter paths, where outcomes are applied
-        between queries exactly as the oracle does.
+        the per-step walk and interpreter paths, where outcomes are
+        applied between queries exactly as the oracle does.
         """
         return False
 
@@ -184,11 +186,11 @@ class SchedulerPolicy(abc.ABC):
         """Clock sync from the compiled-timeline fast path.
 
         The interpreter advances policy-visible time as a side effect of
-        its per-slot queries.  When the stepper proves a run of queries
-        skippable, it still reports the time the *last skipped query*
-        would have carried, so time-dependent accounting (e.g. the
-        retransmission-liveness filter in ``pending_work``) cannot
-        observe the difference between modes.  Default: no-op.
+        its per-slot queries.  When the compiled-round engine proves a
+        run of queries skippable, it still reports the time the *last
+        skipped query* would have carried, so time-dependent accounting
+        (e.g. the retransmission-liveness filter in ``pending_work``)
+        cannot observe the difference between modes.  Default: no-op.
         """
 
     def pending_work(self) -> int:

@@ -72,8 +72,8 @@ class StaticSegmentEngine:
             deliver_arrivals_until: Callback flushing host arrivals with
                 generation time <= its argument into the policy.
             first_slot: Slot to start from; > 1 when the compiled-round
-                stepper hands the remainder of a segment back to the
-                interpreter (the skipped prefix is then already
+                engine's feedback walk hands the remainder of a segment
+                back to the interpreter (the skipped prefix is then already
                 accounted for).
         """
         if first_slot <= 1:

@@ -57,6 +57,12 @@ class ServiceClient:
                     future.set_result(response)
                 elif future is None:
                     self.unmatched.append(response)
+        except (ConnectionError, OSError):
+            # A torn connection ends the loop like EOF does: the failed
+            # futures below carry the error, and a task that ended on
+            # it unobserved (a link the router dropped) would be logged
+            # as "exception never retrieved".
+            pass
         finally:
             # Connection gone: fail whatever is still waiting.
             for future in self._pending.values():
@@ -144,7 +150,5 @@ class ServiceClient:
         self._reader_task.cancel()
         try:
             await self._reader_task
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            # A torn connection's read error is already reflected in
-            # the failed pending futures; close() itself stays quiet.
+        except asyncio.CancelledError:
             pass

@@ -30,6 +30,7 @@ from repro.protocol.backend import get_backend
 from repro.protocol.channel import Channel
 from repro.protocol.geometry import SegmentGeometry
 from repro.protocol.signal import Signal, SignalSet
+from repro.sim.engine import DEFAULT_ENGINE_MODE, EngineMode
 from repro.timeline.compiler import CompiledRound
 from repro.verify import ConfigurationError, verify_experiment
 from repro.workloads.acc import acc_signals
@@ -66,10 +67,11 @@ class ServiceSetup:
         channel_tasks: Per-channel hard periodic task sets (ticks).
         verified: Whether the configuration passed the static gate
             (``False`` only when loading with ``verify=False``).
-        engine_mode: Simulation engine (``"stepper"``, ``"interpreter"``
-            or ``"vectorized"``) any offline replay or spot-check of
-            this configuration runs under; advertised in the service's
-            status payload so audits reproduce the served setup exactly.
+        engine_mode: Simulation engine
+            (:class:`~repro.sim.engine.EngineMode` value) any offline
+            replay or spot-check of this configuration runs under;
+            advertised in the service's status payload so audits
+            reproduce the served setup exactly.
     """
 
     workload: str
@@ -77,7 +79,7 @@ class ServiceSetup:
     tick_us: int
     channel_tasks: Dict[str, TaskSet]
     verified: bool
-    engine_mode: str = "stepper"
+    engine_mode: str = DEFAULT_ENGINE_MODE.value
 
     @property
     def channels(self) -> Tuple[str, ...]:
@@ -215,7 +217,7 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
                        tick_us: int = 100,
                        verify: bool = True,
                        mapping: str = "signals",
-                       engine_mode: str = "stepper",
+                       engine_mode: str = DEFAULT_ENGINE_MODE.value,
                        backend: str = "flexray") -> ServiceSetup:
     """Build and statically verify one service configuration.
 
@@ -238,8 +240,8 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
             (:func:`round_task_sets`), so the service accounts against
             the *placed* schedule rather than an idealized partition.
         engine_mode: Engine any offline replay of this configuration
-            runs under (``"stepper"``, ``"interpreter"`` or
-            ``"vectorized"``); validated here so a typo fails at
+            runs under (:class:`~repro.sim.engine.EngineMode` value);
+            validated here so a typo fails at
             startup, and advertised via the status payload.
         backend: Protocol backend name (``repro.protocol.get_backend``);
             selects the geometry the workload is packed against.
@@ -247,8 +249,6 @@ def load_service_setup(workload: str = "synthetic", count: int = 20,
     Returns:
         A :class:`ServiceSetup` ready to hand to the server.
     """
-    from repro.sim.engine import EngineMode
-
     if mapping not in ("signals", "round"):
         raise ValueError(f"unknown task mapping {mapping!r}; "
                          f"expected 'signals' or 'round'")

@@ -47,7 +47,7 @@ from repro.service.protocol import (
 )
 
 __all__ = ["AdmissionService", "CHANNEL_STATUS_FIELDS", "STATUS_FIELDS",
-           "serve_forever"]
+           "close_connections", "serve_forever"]
 
 #: Exact top-level key set of the ``stats`` reply, in reply order.
 #: docs/service.md documents these one-for-one, and the round-trip test
@@ -123,6 +123,7 @@ class AdmissionService:
         self._batcher: Optional[asyncio.Task] = None
         self._draining = False
         self._drained = asyncio.Event()
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._batches = 0
         self._batched_requests = 0
 
@@ -165,11 +166,13 @@ class AdmissionService:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Wake the batcher so it can observe the drain flag even with
         # an empty queue.
         await self._queue.put(None)
         await self._drained.wait()
+        await close_connections(self._connections, self._timeout)
+        if self._server is not None:
+            await self._server.wait_closed()
         if self._store is not None:
             self._store.record_service_audit(
                 self.setup.workload, self.setup.engine_mode, "drain",
@@ -187,6 +190,8 @@ class AdmissionService:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self._count("service.connections")
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -214,6 +219,7 @@ class AdmissionService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+            del self._connections[task]
 
     async def _dispatch(self, text: str) -> Dict[str, object]:
         try:
@@ -545,6 +551,22 @@ class AdmissionService:
             "achieved_probability": plan.achieved_probability,
             "budgets": dict(sorted(plan.budgets.items())),
         }
+
+
+async def close_connections(
+        connections: Dict[asyncio.Task, asyncio.StreamWriter],
+        timeout_s: float) -> None:
+    """Close every open client connection and wait for its handler.
+
+    Closing the transport hands the handler's reader EOF, so the
+    handler returns normally.  A handler left blocked on its socket
+    would instead be cancelled at loop teardown, and asyncio logs that
+    cancellation (from the stream protocol's done callback) as an error.
+    """
+    for writer in connections.values():
+        writer.close()
+    if connections:
+        await asyncio.wait(list(connections), timeout=timeout_s)
 
 
 async def serve_forever(setup: ServiceSetup, host: str = "127.0.0.1",

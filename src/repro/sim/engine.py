@@ -26,42 +26,49 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.obs import NULL_OBS
 from repro.sim.events import EventKind
 
-__all__ = ["Event", "EngineMode", "SimulationEngine"]
+__all__ = ["DEFAULT_ENGINE_MODE", "ENGINE_MODES", "Event", "EngineMode",
+           "SimulationEngine"]
 
 
 class EngineMode(enum.Enum):
     """How the simulation advances time.
 
     INTERPRETER is the pure event-list oracle: every slot of every cycle
-    is a separate query.  STEPPER advances over compiled
-    :class:`~repro.timeline.compiler.CompiledRound` arrays and falls
-    back to the interpreter only for aperiodic work.  VECTORIZED
-    evaluates whole-cycle batches of the compiled round as numpy array
-    operations (batched fault draws, batched trace appends), falling
-    back to the stepper -- and through it the interpreter -- whenever a
-    batch precondition fails.  All three produce byte-identical traces;
-    the differential tests in ``tests/sim/test_trace_equivalence.py``
-    and the fuzz suite in ``tests/sim/test_engine_fuzz.py`` prove it.
+    is a separate query.  VECTORIZED (the default) evaluates each
+    segment of the :class:`~repro.timeline.compiler.CompiledRound` as
+    one phase-split batch (batched fault draws, batched trace appends);
+    under a feedback scheduler, whose decisions read earlier outcomes,
+    it walks the compiled round step by step instead and hands a segment
+    to the interpreter once aperiodic work appears.  Both produce
+    byte-identical traces; the differential tests in
+    ``tests/sim/test_trace_equivalence.py`` and the fuzz suite in
+    ``tests/sim/test_engine_fuzz.py`` prove it.
     """
 
     INTERPRETER = "interpreter"
-    STEPPER = "stepper"
     VECTORIZED = "vectorized"
 
     @classmethod
     def parse(cls, value: Union[str, "EngineMode", None]) -> "EngineMode":
         """Coerce a CLI/env string (or an existing mode) to a mode."""
         if value is None:
-            return cls.STEPPER
+            return DEFAULT_ENGINE_MODE
         if isinstance(value, cls):
             return value
         try:
             return cls(value.lower())
         except ValueError:
-            names = ", ".join(mode.value for mode in cls)
             raise ValueError(
-                f"unknown engine mode {value!r} (expected one of: {names})"
+                f"unknown engine mode {value!r} "
+                f"(expected one of: {', '.join(ENGINE_MODES)})"
             ) from None
+
+
+#: The engine every entry point runs unless told otherwise.
+DEFAULT_ENGINE_MODE = EngineMode.VECTORIZED
+
+#: Mode names, in declaration order (the CLI ``--engine-mode`` choices).
+ENGINE_MODES = tuple(mode.value for mode in EngineMode)
 
 
 @dataclass(frozen=True)

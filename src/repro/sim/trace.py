@@ -273,7 +273,7 @@ def canonical_trace_bytes(trace: TraceRecorder) -> bytes:
     in recording order -- so two traces serialize identically **iff**
     they recorded the same attempts with the same fields in the same
     order.  This is the equivalence relation the differential engine
-    tests (stepper vs interpreter) are proved under; it is deliberately
+    tests (vectorized vs interpreter) are proved under; it is deliberately
     stricter than metric equality.
 
     The first line names the trace's protocol backend, so two backends

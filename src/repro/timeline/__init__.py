@@ -5,10 +5,11 @@ The static segment of a FlexRay cluster is strictly periodic: the
 verified schedule into one immutable :class:`~repro.timeline.compiler.CompiledRound`
 -- flat integer-macrotick arrays over the full matrix plus derived
 idle/slack interval tables -- and provides the
-:class:`~repro.timeline.stepper.TimelineStepper` fast path that advances
-the simulation cycle-by-cycle over those arrays, falling back to the
-per-slot event interpreter only when aperiodic work (retransmissions,
-slack stealing, dynamic backlog) might change the outcome.
+:class:`~repro.timeline.vectorized.VectorizedStepper` engine that
+advances the simulation one batched segment at a time over those arrays,
+falling back to the per-slot event interpreter only where a feedback
+scheduler's aperiodic work (retransmissions, slack stealing) might
+change the outcome.
 """
 
 from repro.timeline.compiler import (
@@ -20,13 +21,11 @@ from repro.timeline.compiler import (
     StaticStep,
     compile_round,
 )
-from repro.timeline.stepper import TimelineStepper
 from repro.timeline.vectorized import VectorizedStepper
 
 __all__ = [
     "CompiledRound",
     "StaticStep",
-    "TimelineStepper",
     "VectorizedStepper",
     "compile_round",
     "SEGMENT_STATIC",

@@ -13,7 +13,8 @@ static transmission window plus one entry per cycle for the dynamic
 segment, symbol window and NIT -- together with the derived per-cycle
 tables the rest of the system reads:
 
-- per-cycle static steps in execution order (the stepper's walk list);
+- per-cycle static steps in execution order (the vectorized engine's
+  batch geometry and feedback walk list);
 - O(1) slot-owner lookup (replaces repeated ``ScheduleTable.lookup``);
 - per-(channel, cycle) structural idle slots with prefix sums (the
   slack supply the selective-slack planner and the admission service
@@ -285,7 +286,7 @@ class CompiledRound:
             )
 
     # ------------------------------------------------------------------
-    # Static-segment queries (the interpreter/stepper contract)
+    # Static-segment queries (the interpreter/vectorized contract)
     # ------------------------------------------------------------------
 
     def static_steps(self, cycle: int) -> Tuple[StaticStep, ...]:

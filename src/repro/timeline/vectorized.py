@@ -1,21 +1,23 @@
 """Whole-cycle vectorized engine over the compiled round.
 
-The stepper (:mod:`repro.timeline.stepper`) already skips provably-idle
-queries, but it still executes each owned step through the interpreter's
-slot body -- one fault draw, one trace append, one outcome callback per
-transmission -- and it abandons the fast path entirely the moment the
-idle proof fails (e.g. CoEfficient's open-loop redundancy copies keep
-the retransmission heap non-empty for most of a faulty run).
-
-:class:`VectorizedStepper` batches instead.  Each segment of each cycle
-is evaluated in two phases:
+The event interpreter asks the policy one question per (channel, slot)
+pair of every cycle -- ~2 x gNumberOfStaticSlots heap-ordered queries
+per cycle, each transmission settled with its own fault draw, trace
+append and outcome callback.  :class:`VectorizedStepper` walks the
+*compiled* round instead and batches.  Each segment of each cycle is
+evaluated in two phases:
 
 - **Phase A (decide):** every policy query of the segment runs in the
   interpreter's exact order -- slot ascending, channels in pair order
   within a slot (static), full per-channel arbitration (dynamic) -- and
   the planned transmissions are collected with their precomputed
   ``[start, end)`` windows.  Physical validation (slot fit, generation
-  time) happens here, raising the interpreter's exact errors.
+  time) happens here, raising the interpreter's exact errors.  While
+  the policy proves, via
+  :meth:`~repro.protocol.policy.SchedulerPolicy.static_idle_is_noop`
+  and :meth:`~repro.protocol.policy.SchedulerPolicy.dynamic_idle_is_noop`,
+  that idle queries would be side-effect-free ``None``\\ s, only the
+  owned steps are queried.
 - **Phase B (settle):** fault verdicts are drawn for the whole plan at
   once (one vectorized Bernoulli batch per channel when the oracle
   supports it), the trace records are built and appended with a single
@@ -25,17 +27,18 @@ is evaluated in two phases:
 Splitting the phases is sound only when the policy promises, via
 :meth:`~repro.protocol.policy.SchedulerPolicy.decisions_are_outcome_free`,
 that no phase-A answer reads state phase B mutates.  Open-loop policies
-(the paper's Theorem-1 regime) qualify; feedback ARQ does not and runs
-on the inherited stepper/interpreter path unchanged.
+(the paper's Theorem-1 regime) qualify; feedback ARQ does not and takes
+the per-step fallback below.
 
 Batch boundaries
 ----------------
 
-A batch is one segment of one cycle, and it is cut short -- the engine
-delegates to the inherited stepper, and through it the interpreter --
-whenever a phase-split precondition fails:
+A batch is one segment of one cycle.  The engine delegates instead of
+batching whenever a phase-split precondition fails:
 
-- the policy does not promise outcome-free decisions (feedback mode);
+- the policy does not promise outcome-free decisions (feedback mode):
+  the static segment runs on the per-step walk below, the dynamic
+  segment on the interpreter's arbitration loop;
 - the dynamic segment with ``gNumberOfMinislots == 0`` (interpreter
   no-op, delegated verbatim).
 
@@ -55,6 +58,33 @@ action-point offsets, the slot ordering -- comes from the
 :class:`~repro.timeline.compiler.CompiledRound` static-step view, whose
 agreement with the flat schedule arrays is independently checked by the
 FRS113 verification rule (:mod:`repro.verify.round_checks`).
+
+Feedback fallback: the per-step static walk
+-------------------------------------------
+
+Under a feedback policy the static segment executes exactly the owned
+steps, each through the interpreter's own slot body
+(:meth:`~repro.protocol.static_segment.StaticSegmentEngine.execute_slot`),
+and skips the idle queries while the idle-noop proof holds.  The moment
+the proof fails -- a retransmission is planned, a slack-stealable
+backlog appears, an arrival lands mid-segment and changes the policy's
+state -- the interpreter takes over *for the remainder of the segment*,
+resuming at exactly the slot it would next have queried.  Exactness:
+
+- The delivery callback's time argument is only a pop threshold; the
+  policy never observes it.  Equivalence therefore requires exactly
+  that the *set of arrivals delivered before each effective policy
+  query* matches the interpreter, which delivers before slot ``s`` all
+  arrivals released at or before ``s``'s action point.
+- The walk delivers each arrival batch at the action point of the
+  first slot the interpreter would have delivered it at, then re-checks
+  the idle-noop proof; if delivery invalidated it, the interpreter
+  resumes from that same slot -- the skipped earlier slots were queried
+  by the interpreter *before* the delivery, under a proof that they
+  answered ``None`` without side effects.
+- Within an owned step the co-channel's idle query is skipped only
+  while the proof still holds (outcome feedback, e.g. a planned
+  retransmission, revokes it mid-step).
 
 Fault-draw order
 ----------------
@@ -89,8 +119,7 @@ from repro.protocol.policy import SchedulerPolicy
 from repro.protocol.static_segment import StaticSegmentEngine
 from repro.obs import NULL_OBS, ObsLike
 from repro.sim.trace import FrameRecord, TraceRecorder, TransmissionOutcome
-from repro.timeline.compiler import CompiledRound
-from repro.timeline.stepper import TimelineStepper
+from repro.timeline.compiler import CompiledRound, StaticStep
 
 __all__ = ["VectorizedStepper"]
 
@@ -100,7 +129,7 @@ Deliver = Callable[[int], None]
 _Planned = Tuple[Channel, int, int, int, PendingFrame]
 
 
-class VectorizedStepper(TimelineStepper):
+class VectorizedStepper:
     """Advances cycles with phase-split, batched segment evaluation.
 
     Args:
@@ -109,8 +138,9 @@ class VectorizedStepper(TimelineStepper):
         layout: Cycle time geometry.
         channels: The cluster's live channel set.
         policy: The scheduling policy under test.
-        static_engine: Interpreter static engine (delegation target).
-        dynamic_engine: Interpreter dynamic engine (delegation target).
+        static_engine: Interpreter static engine (slot body and
+            feedback fallback).
+        dynamic_engine: Interpreter dynamic engine (feedback fallback).
         next_release_mt: Peek at the earliest undelivered host release.
         corrupts: The cluster's fault oracle; batched per channel when it
             exposes a ``batch`` method, consulted scalar-wise in
@@ -133,8 +163,18 @@ class VectorizedStepper(TimelineStepper):
         trace: TraceRecorder,
         obs: ObsLike = NULL_OBS,
     ) -> None:
-        super().__init__(compiled, params, layout, channels, policy,
-                         static_engine, dynamic_engine, next_release_mt, obs)
+        self._round = compiled
+        self._params = params
+        self._layout = layout
+        self._channels = channels
+        self._policy = policy
+        self._static_engine = static_engine
+        self._dynamic_engine = dynamic_engine
+        self._next_release_mt = next_release_mt
+        self._obs = obs
+        self._slot_mt = params.gd_static_slot_mt
+        self._action_offset = params.gd_action_point_offset_mt
+        self._n_slots = params.g_number_of_static_slots
         self._corrupts = corrupts
         self._trace = trace
         self._batch_faults = getattr(corrupts, "batch", None)
@@ -142,8 +182,7 @@ class VectorizedStepper(TimelineStepper):
         self._pairs = list(channels.pairs())
         #: Segment batches settled through the phase-split path.
         self.vectorized_batches = 0
-        #: Cycles with at least one segment delegated to the stepper or
-        #: interpreter (feedback mode).
+        #: Cycles with at least one segment on the feedback fallback.
         self.scalar_fallback_cycles = 0
         self._last_fallback_cycle = -1
 
@@ -156,12 +195,13 @@ class VectorizedStepper(TimelineStepper):
 
         Returns:
             ``True`` if the segment settled through the phase-split
-            batch, otherwise the inherited stepper's verdict.
+            batch or ran wholly on the per-step walk, ``False`` if any
+            part fell back to the event interpreter.
         """
         policy = self._policy
         if not policy.decisions_are_outcome_free():
             self._note_fallback(cycle)
-            return super().run_static_segment(cycle, deliver)
+            return self._run_static_stepped(cycle, deliver)
         cycle_start = self._layout.cycle_start(cycle)
         first_action = cycle_start + self._action_offset
         last_action = first_action + (self._n_slots - 1) * self._slot_mt
@@ -220,8 +260,8 @@ class VectorizedStepper(TimelineStepper):
                 final_clock = end
         if (not steps or steps[-1].slot_id != self._n_slots
                 or len(steps[-1].entries) < len(self._pairs)):
-            # Mirror the stepper's trailing stamp: the interpreter's last
-            # static action would be slot N's idle query.
+            # The interpreter's last static action would be slot N's
+            # idle query, which stamps the policy clock.
             final_clock = last_action
         return plan, final_clock
 
@@ -229,14 +269,14 @@ class VectorizedStepper(TimelineStepper):
                             deliver: Deliver) -> int:
         """Dense phase A over every (slot, channel) pair, in sub-batches.
 
-        This is the batch the stepper cannot offer: when retransmission
-        or slack-stealing work exists, *every* static query is
-        meaningful, so all of them run.  Host arrivals split the segment
-        into sub-batches: each pending sub-batch is settled (phase B)
-        before the arrivals are delivered at the action point of the
-        first slot covering their release -- the interpreter's exact
-        interleaving of outcomes and arrivals -- and a new sub-batch
-        starts.  Returns the interpreter's end-of-segment policy clock.
+        When retransmission or slack-stealing work exists, *every*
+        static query is meaningful, so all of them run.  Host arrivals
+        split the segment into sub-batches: each pending sub-batch is
+        settled (phase B) before the arrivals are delivered at the
+        action point of the first slot covering their release -- the
+        interpreter's exact interleaving of outcomes and arrivals -- and
+        a new sub-batch starts.  Returns the interpreter's end-of-segment
+        policy clock.
         """
         policy = self._policy
         pairs = self._pairs
@@ -284,6 +324,115 @@ class VectorizedStepper(TimelineStepper):
                 f"at t={pending.generation_time_mt}"
             )
         return action_point + duration
+
+    # ------------------------------------------------------------------
+    # Feedback fallback: the per-step static walk
+    # ------------------------------------------------------------------
+
+    def _run_static_stepped(self, cycle: int, deliver: Deliver) -> bool:
+        """Walk the owned static steps, one interpreter slot body each.
+
+        Returns:
+            ``True`` if the whole segment ran on the walk, ``False`` if
+            any part fell back to the event interpreter.
+        """
+        policy = self._policy
+        if not policy.static_idle_is_noop():
+            self._fallback_static(cycle, deliver, first_slot=1)
+            return False
+
+        self._channels.reset_counters()
+        cycle_start = self._layout.cycle_start(cycle)
+        pos = 1  # first slot whose interpreter query has not yet happened
+        for step in self._round.static_steps(cycle):
+            action_point = cycle_start + step.action_offset_mt
+            resumed = self._deliver_for_window(
+                cycle, cycle_start, pos, action_point, deliver)
+            if resumed is not None:
+                self._fallback_static(cycle, deliver, first_slot=resumed)
+                return False
+            self._execute_step(cycle, step, action_point)
+            pos = step.slot_id + 1
+            if not policy.static_idle_is_noop():
+                if pos <= self._n_slots:
+                    self._fallback_static(cycle, deliver, first_slot=pos)
+                    return False
+                break
+        else:
+            # Trailing idle slots: the interpreter still delivers there.
+            last_action = (cycle_start + (self._n_slots - 1) * self._slot_mt
+                           + self._action_offset)
+            resumed = self._deliver_for_window(
+                cycle, cycle_start, pos, last_action, deliver)
+            if resumed is not None:
+                self._fallback_static(cycle, deliver, first_slot=resumed)
+                return False
+        if any(self._round.owner(channel, cycle, self._n_slots) is None
+               for channel, __ in self._pairs):
+            # The interpreter's last static action is the idle query of
+            # slot N on the later channel, which stamps the policy clock
+            # with that slot's action point; replicate the stamp.
+            policy.note_time(cycle_start + (self._n_slots - 1) * self._slot_mt
+                             + self._action_offset)
+        for __, counter in self._pairs:
+            counter.jump_to(self._n_slots + 1)
+        return True
+
+    def _deliver_for_window(self, cycle: int, cycle_start: int, pos: int,
+                            until_action_mt: int,
+                            deliver: Deliver) -> int | None:
+        """Deliver arrivals due up to ``until_action_mt``, batch by batch.
+
+        Each batch lands at the action point of the first slot the
+        interpreter would have delivered it at; if a batch revokes the
+        idle-noop proof, returns the slot the interpreter must resume
+        from (``None`` while the fast path may continue).
+        """
+        policy = self._policy
+        while True:
+            release = self._next_release_mt()
+            if release is None or release > until_action_mt:
+                return None
+            slot = max(pos, self._first_slot_at_or_after(release - cycle_start))
+            slot = min(slot, self._n_slots)
+            deliver(cycle_start + (slot - 1) * self._slot_mt
+                    + self._action_offset)
+            if not policy.static_idle_is_noop():
+                return slot
+
+    def _first_slot_at_or_after(self, phase_mt: int) -> int:
+        """First slot whose action point is at or after an in-cycle phase."""
+        if phase_mt <= self._action_offset:
+            return 1
+        return (phase_mt - self._action_offset
+                + self._slot_mt - 1) // self._slot_mt + 1
+
+    def _execute_step(self, cycle: int, step: StaticStep,
+                      action_point: int) -> None:
+        """Run one owned static step through the interpreter's slot body."""
+        engine = self._static_engine
+        policy = self._policy
+        compiled = self._round
+        for __, counter in self._pairs:
+            counter.jump_to(step.slot_id)
+        for channel, __ in self._pairs:
+            if compiled.owner(channel, cycle, step.slot_id) is not None:
+                engine.execute_slot(channel, cycle, step.slot_id, action_point)
+            elif not policy.static_idle_is_noop():
+                # Outcome feedback on the co-channel revoked the proof
+                # (e.g. a retransmission was planned): this idle query is
+                # now meaningful, so ask the interpreter's slot body.
+                engine.execute_slot(channel, cycle, step.slot_id, action_point)
+
+    def _fallback_static(self, cycle: int, deliver: Deliver,
+                         first_slot: int) -> None:
+        """Run slots ``first_slot..N`` through the event interpreter."""
+        if self._obs.enabled:
+            remaining = self._n_slots - first_slot + 1
+            self._obs.inc("engine.heap_events",
+                          remaining * len(self._channels))
+        self._static_engine.execute_cycle(cycle, deliver,
+                                          first_slot=first_slot)
 
     # ------------------------------------------------------------------
     # Dynamic segment

@@ -1,7 +1,7 @@
 """Compiled-round checks (``FRS11x`` rules).
 
 A :class:`~repro.timeline.compiler.CompiledRound` is the executable
-form of a schedule: the stepper walks its flat arrays instead of
+form of a schedule: the vectorized engine walks its flat arrays instead of
 querying the table, and the analysis layers read its slack tables.  A
 compiler bug (or a round deserialized/hand-built from raw arrays) would
 therefore corrupt *execution*, not just a report -- so the verifier
@@ -17,10 +17,11 @@ re-derives the round's invariants from first principles:
   the idle set of every (channel, cycle-in-pattern) is exactly the
   complement of the owned set, and the prefix sums agree with it.
 - **FRS113** -- the static-step view must re-derive from the flat
-  arrays: this is the batch geometry both the stepper and the
-  vectorized engine execute, so a step out of slot order, a wrong
-  action offset, entries out of channel order, a phantom entry or a
-  missing owned slot would silently change what transmits.
+  arrays: this is the batch geometry the vectorized engine executes
+  (batched or, under a feedback policy, step by step), so a step out
+  of slot order, a wrong action offset, entries out of channel order, a
+  phantom entry or a missing owned slot would silently change what
+  transmits.
 """
 
 from __future__ import annotations
@@ -207,9 +208,9 @@ def _check_static_steps(compiled: CompiledRound, params: SegmentGeometry,
                         budget: _Budget) -> None:
     """FRS113: the static-step batch view re-derives from the flat arrays.
 
-    ``static_steps(cycle)`` is the geometry both engines execute -- the
-    stepper walks it slot by slot and the vectorized engine plans whole
-    cycle batches over it -- so it is re-derived here from the flat
+    ``static_steps(cycle)`` is the geometry the vectorized engine
+    executes -- it plans whole cycle batches over it, or walks it slot
+    by slot under a feedback policy -- so it is re-derived here from the flat
     arrays alone (not through ``owner()``, which has its own cache).
     """
     cycle_mt = params.gd_cycle_mt

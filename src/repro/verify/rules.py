@@ -93,11 +93,11 @@ VERIFY_RULES: Dict[str, Rule] = _catalogue(
          "another window on the same channel."),
     Rule("FRS112", "round-slack-inconsistent", Severity.ERROR,
          "A compiled round's idle/slack tables are not the exact "
-         "complement of its owner arrays (the stepper and the "
-         "acceptance test would disagree about structural slack)."),
+         "complement of its owner arrays (the vectorized engine and "
+         "the acceptance test would disagree about structural slack)."),
     Rule("FRS113", "round-steps-inconsistent", Severity.ERROR,
          "A compiled round's static-step view (the batch geometry the "
-         "stepper and the vectorized engine execute) disagrees with the "
+         "vectorized engine executes) disagrees with the "
          "flat schedule arrays: steps out of slot order, a wrong action "
          "offset, entries out of channel order, a phantom entry, or an "
          "owned slot missing from the steps."),

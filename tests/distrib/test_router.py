@@ -7,6 +7,7 @@ their assertions per running router.
 """
 
 import asyncio
+import logging
 import os
 import signal
 
@@ -246,13 +247,13 @@ class TestStats:
 
         payloads = [
             {"status": "ok", "workload": "bbw", "tick_us": 100,
-             "engine_mode": "stepper",
+             "engine_mode": "vectorized",
              "channels": {"B": channel_entry()},
              "counters": {"service.admits": 3}, "batches": 2,
              "mean_batch_size": 2.0, "queue_depth": 1,
              "queue_limit": 10, "draining": False},
             {"status": "ok", "workload": "bbw", "tick_us": 100,
-             "engine_mode": "stepper",
+             "engine_mode": "vectorized",
              "channels": {"A": channel_entry()},
              "counters": {"service.admits": 5}, "batches": 6,
              "mean_batch_size": 4.0, "queue_depth": 2,
@@ -328,6 +329,20 @@ class TestResilience:
 
         __, reply = run(with_router(body))
         assert reply["status"] == "accepted"
+
+    def test_stop_with_open_connection_logs_no_asyncio_error(self, caplog):
+        # Stopping must let every client handler return on its own: a
+        # handler left waiting for lines is cancelled at loop teardown,
+        # and asyncio logs that CancelledError as an error.
+        async def body(router, client):
+            assert (await client.ping())["status"] == "ok"
+            await router.stop()  # the client connection is still open
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run(with_router(body))
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"
+                and record.levelno >= logging.ERROR] == []
 
     def test_draining_router_answers_overload(self):
         async def body(router, client):

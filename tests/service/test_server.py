@@ -7,6 +7,7 @@ socket -> parse -> queue -> batcher -> ledger -> response path.
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -213,6 +214,22 @@ class TestRobustness:
             assert reply["reason"] == "draining"
 
         run(with_service(setup, body))
+
+
+    def test_stop_with_open_connection_logs_no_asyncio_error(
+            self, setup, caplog):
+        # Stopping must let every connection handler return on its own:
+        # a handler left blocked on its socket is cancelled at loop
+        # teardown, and asyncio logs that CancelledError as an error.
+        async def body(service, client):
+            assert (await client.ping())["status"] == "ok"
+            await service.stop()  # the client connection is still open
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run(with_service(setup, body))
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"
+                and record.levelno >= logging.ERROR] == []
 
 
 class TestReconciliation:

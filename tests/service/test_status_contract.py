@@ -18,6 +18,7 @@ import pytest
 
 from repro.service.client import ServiceClient
 from repro.service.config import load_service_setup
+from repro.sim.engine import ENGINE_MODES
 from repro.service.server import (
     CHANNEL_STATUS_FIELDS,
     STATUS_FIELDS,
@@ -69,8 +70,7 @@ class TestPayloadMatchesContract:
         # preserve the documented types.
         assert isinstance(stats["workload"], str)
         assert isinstance(stats["tick_us"], int)
-        assert stats["engine_mode"] in ("stepper", "interpreter",
-                                        "vectorized")
+        assert stats["engine_mode"] in ENGINE_MODES
         assert isinstance(stats["counters"], dict)
         assert isinstance(stats["batches"], int)
         assert isinstance(stats["mean_batch_size"], (int, float))

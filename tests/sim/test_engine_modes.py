@@ -1,7 +1,8 @@
-"""Engine-mode coverage: trace export round-trips and dynamic-segment
-minislot boundary cases, each exercised under every engine mode.
+"""Engine-mode coverage: the single default, trace export round-trips
+and dynamic-segment minislot boundary cases, the latter two exercised
+under every engine mode.
 
-The differential tests (`test_trace_equivalence.py`) prove stepper ==
+The differential tests (`test_trace_equivalence.py`) prove
 interpreter == vectorized on broad workloads; this module pins the
 awkward corners of the dynamic segment -- a frame that consumes the
 *entire* minislot budget (its transmission ends exactly when the
@@ -10,16 +11,80 @@ cycle with no dynamic segment at all -- and checks that traces produced
 by any engine survive the CSV pipeline byte-identically.
 """
 
+import dataclasses
+import inspect
 import io
 
 import pytest
 
-from repro.experiments.runner import run_experiment
+from repro.cli import build_parser
+from repro.distrib.plan import CampaignPlan
+from repro.experiments.figures import fig1_2_running_time
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.flexray.signal import Signal, SignalSet
+from repro.protocol.cluster import Cluster
+from repro.service.config import ServiceSetup, load_service_setup
+from repro.sim.engine import DEFAULT_ENGINE_MODE, EngineMode
 from repro.sim.trace import canonical_trace_bytes
 from repro.sim.trace_io import export_csv, import_csv
 
-MODES = ("interpreter", "stepper", "vectorized")
+MODES = ("interpreter", "vectorized")
+
+
+def parameter_default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+def field_default(cls, name):
+    return {field.name: field.default
+            for field in dataclasses.fields(cls)}[name]
+
+
+#: Every public entry point that picks an engine when the caller does not.
+DEFAULTS = {
+    "Cluster": lambda: parameter_default(Cluster.__init__, "mode"),
+    "run_experiment": lambda: parameter_default(run_experiment,
+                                                "engine_mode"),
+    "ExperimentResult": lambda: field_default(ExperimentResult,
+                                              "engine_mode"),
+    "fig1_2_running_time": lambda: parameter_default(fig1_2_running_time,
+                                                     "engine_mode"),
+    "ServiceSetup": lambda: field_default(ServiceSetup, "engine_mode"),
+    "load_service_setup": lambda: parameter_default(load_service_setup,
+                                                    "engine_mode"),
+    "CampaignPlan": lambda: field_default(CampaignPlan, "engine_mode"),
+    "repro run": lambda: build_parser().parse_args(["run"]).engine_mode,
+    "repro campaign": lambda: build_parser().parse_args(
+        ["campaign"]).engine_mode,
+    "repro serve": lambda: build_parser().parse_args(["serve"]).engine_mode,
+}
+
+
+class TestSingleDefault:
+    @pytest.mark.parametrize("entry_point", sorted(DEFAULTS))
+    def test_entry_point_uses_the_engine_default(self, entry_point):
+        assert EngineMode.parse(DEFAULTS[entry_point]()) \
+            is DEFAULT_ENGINE_MODE
+
+    def test_parse_none_is_the_default(self):
+        assert EngineMode.parse(None) is DEFAULT_ENGINE_MODE
+
+    def test_two_modes(self):
+        assert [mode.value for mode in EngineMode] == list(MODES)
+
+
+class TestRetiredStepperMode:
+    def test_parse_rejects_stepper(self):
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            EngineMode.parse("stepper")
+
+    @pytest.mark.parametrize("command", ("run", "campaign", "serve"))
+    def test_cli_rejects_stepper(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [command, "--engine-mode", "stepper"])
+        assert exit_info.value.code != 0
+        assert "invalid choice: 'stepper'" in capsys.readouterr().err
 
 
 FILL_BITS = 1600

@@ -1,6 +1,6 @@
-"""Differential engine tests: stepper versus interpreter, byte for byte.
+"""Differential engine tests: vectorized versus interpreter, byte for byte.
 
-The compiled-timeline fast path (:class:`repro.timeline.TimelineStepper`)
+The default compiled-round engine (:class:`repro.timeline.VectorizedStepper`)
 claims *trace equivalence* with the pure event-list interpreter: same
 configuration, same seed, same policy -> the exact same sequence of
 :class:`~repro.sim.trace.FrameRecord` entries, every field identical, in
@@ -31,7 +31,7 @@ from repro.core.mode_change import ModeChangeController
 from repro.experiments.runner import run_experiment
 from repro.protocol.backend import get_backend
 from repro.protocol.signal import Signal
-from repro.sim.engine import EngineMode
+from repro.sim.engine import DEFAULT_ENGINE_MODE, EngineMode
 from repro.sim.trace import canonical_trace_bytes, trace_digest
 from repro.workloads.acc import acc_signals
 from repro.workloads.bbw import bbw_signals
@@ -55,24 +55,12 @@ def small_geometry(backend, minislots=40):
 
 
 def run_both(**kwargs):
-    """Run one configuration under all three engines.
-
-    Returns the (interpreter, stepper) pair the pre-vectorized tests
-    were written against; the vectorized run is checked against the
-    oracle inline, so every scenario in this module is a three-way
-    differential test.
-    """
-    oracle = run_experiment(engine_mode="interpreter", **kwargs)
-    fast = run_experiment(engine_mode=EngineMode.STEPPER, **kwargs)
-    batch = run_experiment(engine_mode=EngineMode.VECTORIZED, **kwargs)
+    """Run one configuration under both engines: (interpreter, vectorized)."""
+    oracle = run_experiment(engine_mode=EngineMode.INTERPRETER, **kwargs)
+    fast = run_experiment(engine_mode=EngineMode.VECTORIZED, **kwargs)
     assert oracle.cluster.mode is EngineMode.INTERPRETER
-    assert fast.cluster.mode is EngineMode.STEPPER
-    assert batch.cluster.mode is EngineMode.VECTORIZED
-    assert batch.cluster.vectorized_active
-    assert (canonical_trace_bytes(batch.cluster.trace)
-            == canonical_trace_bytes(oracle.cluster.trace))
-    assert batch.cycles_run == oracle.cycles_run
-    assert batch.counters == oracle.counters
+    assert fast.cluster.mode is EngineMode.VECTORIZED
+    assert fast.cluster.vectorized_active
     return oracle, fast
 
 
@@ -183,9 +171,9 @@ class TestTraceEquivalence:
 
 
 class TestFastPathEngagement:
-    def test_stepper_actually_engages(self, backend,
-                                      tiny_periodic_signals):
-        """Guard against vacuity: STEPPER mode must use the fast path."""
+    def test_default_engine_batches_open_loop(self, backend,
+                                              tiny_periodic_signals):
+        """Guard against vacuity: the default engine settles batches."""
         fast = run_experiment(
             params=small_geometry(backend),
             scheduler="static-only",
@@ -193,9 +181,28 @@ class TestFastPathEngagement:
             ber=0.0,
             seed=1,
             duration_ms=10.0,
-            engine_mode="stepper",
         )
-        assert fast.cluster.stepper_active
+        engine = fast.cluster._vectorized
+        assert fast.cluster.mode is DEFAULT_ENGINE_MODE
+        assert engine.vectorized_batches > 0
+        assert engine.scalar_fallback_cycles == 0
+
+    def test_default_engine_takes_feedback_fallback(self, backend,
+                                                    tiny_periodic_signals):
+        """Feedback ARQ is the only route into the per-step static walk;
+        the default engine must actually take it."""
+        fast = run_experiment(
+            params=small_geometry(backend),
+            scheduler="fspec",
+            periodic=tiny_periodic_signals,
+            ber=1e-4,
+            seed=5,
+            duration_ms=10.0,
+            feedback=True,
+        )
+        engine = fast.cluster._vectorized
+        assert engine.scalar_fallback_cycles > 0
+        assert engine.vectorized_batches == 0
 
     def test_interpreter_never_engages(self, backend,
                                        tiny_periodic_signals):
@@ -208,7 +215,7 @@ class TestFastPathEngagement:
             duration_ms=10.0,
             engine_mode="interpreter",
         )
-        assert not oracle.cluster.stepper_active
+        assert not oracle.cluster.vectorized_active
 
 
 #: Golden SHA-256 trace digests for three seeded generated scenarios
@@ -240,7 +247,7 @@ class TestGoldenDigests:
             mode: trace_digest(run_experiment(
                 engine_mode=mode,
                 **scenario.experiment_kwargs()).cluster.trace)
-            for mode in ("interpreter", "stepper", "vectorized")
+            for mode in ("interpreter", "vectorized")
         }
         assert len(set(digests.values())) == 1, digests
         assert digests["interpreter"] == GOLDEN_DIGESTS[backend][seed], \

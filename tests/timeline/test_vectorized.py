@@ -87,7 +87,7 @@ class TestBatchPaths:
     def test_feedback_policy_falls_back_per_cycle(self, small_params,
                                                   tiny_periodic_signals):
         """Feedback ARQ makes decisions outcome-dependent, so every
-        cycle must delegate to the scalar engines -- and say so."""
+        cycle must take the feedback fallback -- and say so."""
         obs = Observability()
         result = run_vectorized(
             obs=obs, params=small_params, scheduler="fspec",
@@ -123,9 +123,9 @@ class TestCounterSurface:
             periodic=cycle_aligned_signals(small_params),
             ber=0.0, seed=2, duration_ms=10.0,
         )
-        stepper = result.cluster._stepper
+        engine = result.cluster._vectorized
         counters = engine_counters(obs)
-        assert stepper.vectorized_batches == \
+        assert engine.vectorized_batches == \
             counters["engine.vectorized_batches"]
-        assert stepper.scalar_fallback_cycles == \
+        assert engine.scalar_fallback_cycles == \
             counters.get("engine.scalar_fallback_cycles", 0)
